@@ -29,6 +29,27 @@ func BenchmarkWriterThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkMemFSWriteGrowth builds a 16 MiB MemFS file from one-block
+// (2048-key) writes, the pattern of every run and partition file.
+func BenchmarkMemFSWriteGrowth(b *testing.B) {
+	const size, blockBytes = 16 << 20, 2048 * record.KeySize
+	block := make([]byte, blockBytes)
+	b.SetBytes(size)
+	fs := NewMemFS()
+	for i := 0; i < b.N; i++ {
+		f, err := fs.Create("bench")
+		if err != nil {
+			b.Fatal(err)
+		}
+		for n := 0; n < size; n += blockBytes {
+			if _, err := f.Write(block); err != nil {
+				b.Fatal(err)
+			}
+		}
+		f.Close()
+	}
+}
+
 func BenchmarkReaderThroughput(b *testing.B) {
 	keys := record.Uniform.Generate(1<<16, 1, 1)
 	fs := NewMemFS()

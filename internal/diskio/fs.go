@@ -15,6 +15,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -315,10 +316,15 @@ func (f *memFile) Write(p []byte) (int, error) {
 	defer f.fs.mu.Unlock()
 	b := *f.buf
 	end := f.off + int64(len(p))
-	if end > int64(len(b)) {
-		nb := make([]byte, end)
-		copy(nb, b)
-		b = nb
+	if n := int64(len(b)); end > n {
+		// Grow with amortized capacity, as append does, so building a
+		// file from many small writes stays linear.  Only the gap left
+		// by a Seek past the end is cleared: the tail being extended
+		// into is written by the copy below.
+		b = slices.Grow(b, int(end-n))[:end]
+		if f.off > n {
+			clear(b[n:f.off])
+		}
 	}
 	copy(b[f.off:end], p)
 	*f.buf = b

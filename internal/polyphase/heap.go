@@ -23,11 +23,25 @@ type selectionItem struct {
 	run int64
 }
 
-// selectionHeap is a min-heap over (run, key) pairs for replacement
-// selection: keys of the current run sort before keys demoted to the
-// next run.
+// maxSelectionRun bounds the run generations the packed heap can hold:
+// the run number occupies the high 32 bits of a packed entry.  It is a
+// variable so tests can reach the bound without 2^32 runs of input.
+var maxSelectionRun int64 = 1<<32 - 1
+
+// pack encodes an item as run<<32 | key, so the (run, key) order is
+// one unsigned integer compare.  run must be in [0, maxSelectionRun].
+func (it selectionItem) pack() uint64 { return uint64(it.run)<<32 | uint64(it.key) }
+
+func unpack(v uint64) selectionItem {
+	return selectionItem{key: record.Key(v), run: int64(v >> 32)}
+}
+
+// selectionHeap is a min-heap over packed (run, key) entries for
+// replacement selection: keys of the current run sort before keys
+// demoted to the next run.  Each push and sift charges the meter once,
+// with the comparisons of the classic swap-based heap (see siftDown).
 type selectionHeap struct {
-	items []selectionItem
+	items []uint64
 	meter vtime.Meter
 }
 
@@ -35,35 +49,31 @@ func newSelectionHeap(capacity int, meter vtime.Meter) *selectionHeap {
 	if meter == nil {
 		meter = vtime.Nop{}
 	}
-	return &selectionHeap{items: make([]selectionItem, 0, capacity), meter: meter}
+	return &selectionHeap{items: make([]uint64, 0, capacity), meter: meter}
 }
 
 func (h *selectionHeap) len() int { return len(h.items) }
 
-func (h *selectionHeap) less(a, b selectionItem) bool {
-	if a.run != b.run {
-		return a.run < b.run
-	}
-	return a.key < b.key
-}
-
 func (h *selectionHeap) push(it selectionItem) {
-	h.items = append(h.items, it)
-	i := len(h.items) - 1
+	x := it.pack()
+	h.items = append(h.items, x)
+	items := h.items
+	i := len(items) - 1
 	var ops int64
 	for i > 0 {
 		parent := (i - 1) / 2
 		ops++
-		if !h.less(h.items[i], h.items[parent]) {
+		if x >= items[parent] {
 			break
 		}
-		h.items[parent], h.items[i] = h.items[i], h.items[parent]
+		items[i] = items[parent]
 		i = parent
 	}
+	items[i] = x
 	h.meter.ChargeCompute(ops + 1)
 }
 
-func (h *selectionHeap) peek() selectionItem { return h.items[0] }
+func (h *selectionHeap) peek() selectionItem { return unpack(h.items[0]) }
 
 func (h *selectionHeap) pop() selectionItem {
 	top := h.items[0]
@@ -71,32 +81,42 @@ func (h *selectionHeap) pop() selectionItem {
 	h.items[0] = h.items[last]
 	h.items = h.items[:last]
 	h.siftDown(0)
-	return top
+	return unpack(top)
 }
 
 func (h *selectionHeap) replaceTop(it selectionItem) {
-	h.items[0] = it
+	h.items[0] = it.pack()
 	h.siftDown(0)
 }
 
+// siftDown moves a hole down from i instead of swapping at each level.
+// It takes the same path as the swap-based sift (ties keep the parent,
+// then prefer the left child) and charges the same ops: 2 per level
+// visited, including the level where it stops, plus 1.
 func (h *selectionHeap) siftDown(i int) {
-	n := len(h.items)
+	items := h.items
+	n := len(items)
+	if n == 0 { // the last pop still visits one (empty) level
+		h.meter.ChargeCompute(2 + 1)
+		return
+	}
+	x := items[i]
 	var ops int64
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && h.less(h.items[l], h.items[smallest]) {
-			smallest = l
-		}
-		if r < n && h.less(h.items[r], h.items[smallest]) {
-			smallest = r
-		}
 		ops += 2
-		if smallest == i {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		h.items[i], h.items[smallest] = h.items[smallest], h.items[i]
-		i = smallest
+		if r := c + 1; r < n && items[r] < items[c] {
+			c = r
+		}
+		if items[c] >= x {
+			break
+		}
+		items[i] = items[c]
+		i = c
 	}
+	items[i] = x
 	h.meter.ChargeCompute(ops + 1)
 }

@@ -2,7 +2,9 @@ package polyphase
 
 import (
 	"io"
+	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -161,6 +163,216 @@ func TestSelectionHeapReplaceTop(t *testing.T) {
 	}
 	if got := h.pop(); got.key != 5 || got.run != 1 {
 		t.Fatalf("pop = %+v", got)
+	}
+}
+
+// refSelectionHeap is a struct-based heap that swaps at every level and
+// charges by the rule of DESIGN.md §12.  It is the differential oracle
+// for selectionHeap: same pops, same ChargeCompute argument per call.
+type refSelectionHeap struct {
+	items []selectionItem
+	meter vtime.Meter
+}
+
+func (h *refSelectionHeap) less(a, b selectionItem) bool {
+	if a.run != b.run {
+		return a.run < b.run
+	}
+	return a.key < b.key
+}
+
+func (h *refSelectionHeap) push(it selectionItem) {
+	h.items = append(h.items, it)
+	i := len(h.items) - 1
+	var ops int64
+	for i > 0 {
+		parent := (i - 1) / 2
+		ops++
+		if !h.less(h.items[i], h.items[parent]) {
+			break
+		}
+		h.items[parent], h.items[i] = h.items[i], h.items[parent]
+		i = parent
+	}
+	h.meter.ChargeCompute(ops + 1)
+}
+
+func (h *refSelectionHeap) pop() selectionItem {
+	top := h.items[0]
+	last := len(h.items) - 1
+	h.items[0] = h.items[last]
+	h.items = h.items[:last]
+	h.siftDown(0)
+	return top
+}
+
+func (h *refSelectionHeap) replaceTop(it selectionItem) {
+	h.items[0] = it
+	h.siftDown(0)
+}
+
+func (h *refSelectionHeap) siftDown(i int) {
+	n := len(h.items)
+	var ops int64
+	for {
+		l, r := 2*i+1, 2*i+2
+		smallest := i
+		if l < n && h.less(h.items[l], h.items[smallest]) {
+			smallest = l
+		}
+		if r < n && h.less(h.items[r], h.items[smallest]) {
+			smallest = r
+		}
+		ops += 2
+		if smallest == i {
+			break
+		}
+		h.items[i], h.items[smallest] = h.items[smallest], h.items[i]
+		i = smallest
+	}
+	h.meter.ChargeCompute(ops + 1)
+}
+
+// callMeter records the argument of every ChargeCompute call.
+type callMeter struct{ calls []int64 }
+
+func (m *callMeter) ChargeCompute(n int64) { m.calls = append(m.calls, n) }
+func (m *callMeter) ChargeIOBlocks(int64)  {}
+func (m *callMeter) ChargeSeek(int64)      {}
+
+func (m *callMeter) total() int64 {
+	var t int64
+	for _, n := range m.calls {
+		t += n
+	}
+	return t
+}
+
+// TestSelectionHeapMatchesReference drives the packed heap and the
+// reference heap through identical operation sequences and requires the
+// same pop sequence and the same per-call compute charges.  Each input
+// is run twice: as replacement selection drives the heap (fill, then
+// replaceTop with demotion, then drain), and as a seeded random mix of
+// push, replaceTop and pop over a few run generations.
+func TestSelectionHeapMatchesReference(t *testing.T) {
+	const n, m = 4000, 64
+	descending := make([]record.Key, n)
+	for i := range descending {
+		descending[i] = record.Key(n - i)
+	}
+	inputs := map[string][]record.Key{
+		"uniform":    record.Uniform.Generate(n, 11, 1),
+		"all-equal":  make([]record.Key, n),
+		"descending": descending, // every refill is demoted
+		"zipf":       record.Zipf.Generate(n, 12, 1),
+	}
+	for name, keys := range inputs {
+		t.Run(name+"/replacement", func(t *testing.T) {
+			var gm, wm callMeter
+			got := newSelectionHeap(m, &gm)
+			want := &refSelectionHeap{meter: &wm}
+			var gotOut, wantOut []selectionItem
+			for _, k := range keys[:m] {
+				got.push(selectionItem{key: k})
+				want.push(selectionItem{key: k})
+			}
+			for _, k := range keys[m:] {
+				top := got.peek()
+				gotOut = append(gotOut, top)
+				wantOut = append(wantOut, want.items[0])
+				it := selectionItem{key: k, run: top.run}
+				if k < top.key {
+					it.run++
+				}
+				got.replaceTop(it)
+				want.replaceTop(it)
+			}
+			for got.len() > 0 {
+				gotOut = append(gotOut, got.pop())
+				wantOut = append(wantOut, want.pop())
+			}
+			compareHeapRuns(t, gotOut, wantOut, &gm, &wm)
+		})
+		t.Run(name+"/random-ops", func(t *testing.T) {
+			var gm, wm callMeter
+			got := newSelectionHeap(m, &gm)
+			want := &refSelectionHeap{meter: &wm}
+			var gotOut, wantOut []selectionItem
+			rng := rand.New(rand.NewSource(int64(len(name))))
+			for _, k := range keys {
+				it := selectionItem{key: k, run: int64(rng.Intn(3))}
+				switch op := rng.Intn(3); {
+				case got.len() == 0 || (op == 0 && got.len() < m):
+					got.push(it)
+					want.push(it)
+				case op == 1:
+					gotOut = append(gotOut, got.peek())
+					wantOut = append(wantOut, want.items[0])
+					got.replaceTop(it)
+					want.replaceTop(it)
+				default:
+					gotOut = append(gotOut, got.pop())
+					wantOut = append(wantOut, want.pop())
+				}
+			}
+			for got.len() > 0 {
+				gotOut = append(gotOut, got.pop())
+				wantOut = append(wantOut, want.pop())
+			}
+			compareHeapRuns(t, gotOut, wantOut, &gm, &wm)
+		})
+	}
+}
+
+func compareHeapRuns(t *testing.T, gotOut, wantOut []selectionItem, gm, wm *callMeter) {
+	t.Helper()
+	if len(gotOut) != len(wantOut) {
+		t.Fatalf("popped %d items, reference %d", len(gotOut), len(wantOut))
+	}
+	for i := range wantOut {
+		if gotOut[i] != wantOut[i] {
+			t.Fatalf("pop %d = %+v, reference %+v", i, gotOut[i], wantOut[i])
+		}
+	}
+	if gm.total() != wm.total() {
+		t.Fatalf("charged %d compute ops, reference %d", gm.total(), wm.total())
+	}
+	if len(gm.calls) != len(wm.calls) {
+		t.Fatalf("%d ChargeCompute calls, reference %d", len(gm.calls), len(wm.calls))
+	}
+	for i := range wm.calls {
+		if gm.calls[i] != wm.calls[i] {
+			t.Fatalf("ChargeCompute call %d charged %d, reference %d", i, gm.calls[i], wm.calls[i])
+		}
+	}
+}
+
+// TestReplacementSelectionRunLimit pins the run-number guard: the packed
+// heap holds the run in 32 bits, so a run past the limit must be an
+// error, not a silent wrap that would merge it into run 0.
+func TestReplacementSelectionRunLimit(t *testing.T) {
+	defer func(old int64) { maxSelectionRun = old }(maxSelectionRun)
+	maxSelectionRun = 3
+	keys := make([]record.Key, 1000)
+	for i := range keys {
+		keys[i] = record.Key(len(keys) - i) // every refill is demoted
+	}
+	var runs [][]record.Key
+	_, _, err := formRuns(newMemInput(t, keys), "input", 16, 64, ReplacementSelection,
+		accounting(), diskio.Overlap{}, &collectSink{runs: &runs})
+	if err == nil || !strings.Contains(err.Error(), "beyond the heap's limit") {
+		t.Fatalf("err = %v, want the run-limit error", err)
+	}
+	if len(runs) != 3 {
+		t.Fatalf("emitted %d complete runs before the error, want 3", len(runs))
+	}
+
+	maxSelectionRun = 1<<32 - 1
+	runs = nil
+	n, _, err := formRuns(newMemInput(t, keys), "input", 16, 64, ReplacementSelection,
+		accounting(), diskio.Overlap{}, &collectSink{runs: &runs})
+	if err != nil || n != int64(len(keys)/64)+1 {
+		t.Fatalf("runs=%d err=%v under the real limit", n, err)
 	}
 }
 

@@ -138,6 +138,9 @@ func formRunsReplacement(r diskio.BlockReader, memoryKeys int, meter vtime.Meter
 			if next >= lastOut {
 				h.replaceTop(selectionItem{key: next, run: current})
 			} else {
+				if current >= maxSelectionRun {
+					return runs, total, fmt.Errorf("polyphase: replacement selection reached run %d, beyond the heap's limit of %d", current+1, maxSelectionRun)
+				}
 				h.replaceTop(selectionItem{key: next, run: current + 1})
 			}
 		case io.EOF:
