@@ -17,7 +17,6 @@ import (
 	"hetsort/internal/extsort"
 	"hetsort/internal/perf"
 	"hetsort/internal/polyphase"
-	"hetsort/internal/psrs"
 	"hetsort/internal/record"
 	"hetsort/internal/sampling"
 )
@@ -194,29 +193,19 @@ func BenchmarkFigure1PDM(b *testing.B) {
 }
 
 // BenchmarkAblationPivotStrategy is A1: regular sampling vs
-// overpartitioning load balance (sublist expansion) on the in-core
-// foundation, the comparison behind the paper's section-3.3 argument.
+// overpartitioning load balance (sublist expansion) on the Algorithm-1
+// path, the comparison behind the paper's section-3.3 argument.  Every
+// sort is verified.
 func BenchmarkAblationPivotStrategy(b *testing.B) {
-	for _, strat := range []psrs.Strategy{psrs.RegularSampling, psrs.Overpartitioning} {
+	for _, strat := range []extsort.Strategy{extsort.RegularSampling, extsort.Overpartitioning} {
 		b.Run(strat.String(), func(b *testing.B) {
-			v := perf.Homogeneous(8)
-			keys := record.Uniform.Generate(1<<16, 5, 8)
-			portions := make([][]record.Key, 8)
-			share := len(keys) / 8
-			for i := range portions {
-				portions[i] = keys[i*share : (i+1)*share]
-			}
 			var exp float64
 			for i := 0; i < b.N; i++ {
-				c, err := cluster.New(cluster.Config{Slowdowns: v.Slowdowns()})
+				sizes, err := benchOptions().PivotPartitions(perf.Homogeneous(8), 1<<16, strat)
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := psrs.Sort(c, psrs.Config{Perf: v, Strategy: strat, Seed: int64(i)}, portions)
-				if err != nil {
-					b.Fatal(err)
-				}
-				exp = sampling.SublistExpansion(res.PartitionSizes)
+				exp = sampling.SublistExpansion(sizes)
 			}
 			b.ReportMetric(exp, "expansion")
 		})
@@ -329,33 +318,21 @@ func BenchmarkExternalPSRSWallClock(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationQuantilePivots is A4: PSRS pivots from merged
-// Greenwald-Khanna sketches (the variant of the paper's reference [29])
-// vs regular sampling, compared on weighted sublist expansion.
+// BenchmarkAblationQuantilePivots is A4: pivots from merged
+// Greenwald-Khanna sketches of the sorted files (the variant of the
+// paper's reference [29]) vs regular sampling, compared on weighted
+// sublist expansion.  Every sort is verified.
 func BenchmarkAblationQuantilePivots(b *testing.B) {
-	for _, strat := range []psrs.Strategy{psrs.RegularSampling, psrs.Quantiles} {
+	for _, strat := range []extsort.Strategy{extsort.RegularSampling, extsort.QuantileSketch} {
 		b.Run(strat.String(), func(b *testing.B) {
 			v := perf.Vector{1, 1, 4, 4}
-			n := v.NearestValidSize(1 << 17)
-			keys := record.Uniform.Generate(int(n), 11, 4)
-			shares := v.Shares(n)
-			portions := make([][]record.Key, len(v))
-			off := int64(0)
-			for i, s := range shares {
-				portions[i] = keys[off : off+s]
-				off += s
-			}
 			var exp float64
 			for i := 0; i < b.N; i++ {
-				c, err := cluster.New(cluster.Config{Slowdowns: v.Slowdowns()})
+				sizes, err := benchOptions().PivotPartitions(v, v.NearestValidSize(1<<17), strat)
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := psrs.Sort(c, psrs.Config{Perf: v, Strategy: strat, Seed: int64(i)}, portions)
-				if err != nil {
-					b.Fatal(err)
-				}
-				exp, err = sampling.WeightedExpansion(res.PartitionSizes, v)
+				exp, err = sampling.WeightedExpansion(sizes, v)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -9,7 +9,6 @@ import (
 	"hetsort/internal/extsort"
 	"hetsort/internal/perf"
 	"hetsort/internal/polyphase"
-	"hetsort/internal/psrs"
 	"hetsort/internal/record"
 	"hetsort/internal/sampling"
 	"hetsort/internal/stats"
@@ -35,27 +34,13 @@ func Ablations(o Options) ([]AblationRow, error) {
 		rows = append(rows, AblationRow{ID: id, Variant: variant, Metric: metric, Value: v})
 	}
 
-	// A1: in-core pivot strategies, homogeneous p=8.
-	{
-		v := perf.Homogeneous(8)
-		n := int(o.scale(1 << 22))
-		keys := record.Uniform.Generate(n, o.Seed, 8)
-		portions := make([][]record.Key, 8)
-		share := n / 8
-		for i := range portions {
-			portions[i] = keys[i*share : (i+1)*share]
+	// A1: regular sampling vs overpartitioning, homogeneous p=8.
+	for _, strat := range []extsort.Strategy{extsort.RegularSampling, extsort.Overpartitioning} {
+		sizes, err := o.PivotPartitions(perf.Homogeneous(8), o.scale(1<<22), strat)
+		if err != nil {
+			return nil, fmt.Errorf("A1 %w", err)
 		}
-		for _, strat := range []psrs.Strategy{psrs.RegularSampling, psrs.Overpartitioning} {
-			c, err := cluster.New(cluster.Config{Slowdowns: v.Slowdowns()})
-			if err != nil {
-				return nil, err
-			}
-			res, err := psrs.Sort(c, psrs.Config{Perf: v, Strategy: strat, Seed: o.Seed, OverFactor: 2}, portions)
-			if err != nil {
-				return nil, fmt.Errorf("A1 %v: %w", strat, err)
-			}
-			add("A1", strat.String(), "expansion", sampling.SublistExpansion(res.PartitionSizes))
-		}
+		add("A1", strat.String(), "expansion", sampling.SublistExpansion(sizes))
 	}
 
 	// A2: duplicates, perf {1,1,4,4}.
@@ -108,33 +93,18 @@ func Ablations(o Options) ([]AblationRow, error) {
 		add("A3", fmt.Sprintf("tapes=%d", tapes), "phases", float64(phases))
 	}
 
-	// A4: quantile pivots vs regular sampling, perf {1,1,4,4}.
-	{
+	// A4: quantile-sketch pivots vs regular sampling, perf {1,1,4,4}.
+	for _, strat := range []extsort.Strategy{extsort.RegularSampling, extsort.QuantileSketch} {
 		v := PaperVector
-		n := v.NearestValidSize(o.scale(1 << 22))
-		keys := record.Uniform.Generate(int(n), o.Seed, 4)
-		shares := v.Shares(n)
-		portions := make([][]record.Key, len(v))
-		off := int64(0)
-		for i, s := range shares {
-			portions[i] = keys[off : off+s]
-			off += s
+		sizes, err := o.PivotPartitions(v, v.NearestValidSize(o.scale(1<<22)), strat)
+		if err != nil {
+			return nil, fmt.Errorf("A4 %w", err)
 		}
-		for _, strat := range []psrs.Strategy{psrs.RegularSampling, psrs.Quantiles} {
-			c, err := cluster.New(cluster.Config{Slowdowns: v.Slowdowns()})
-			if err != nil {
-				return nil, err
-			}
-			res, err := psrs.Sort(c, psrs.Config{Perf: v, Strategy: strat, Seed: o.Seed}, portions)
-			if err != nil {
-				return nil, fmt.Errorf("A4 %v: %w", strat, err)
-			}
-			we, err := sampling.WeightedExpansion(res.PartitionSizes, v)
-			if err != nil {
-				return nil, err
-			}
-			add("A4", strat.String(), "weighted-expansion", we)
+		we, err := sampling.WeightedExpansion(sizes, v)
+		if err != nil {
+			return nil, err
 		}
+		add("A4", strat.String(), "weighted-expansion", we)
 	}
 
 	// A5: disks per node.

@@ -50,7 +50,7 @@ func RunAttribution(o Options) (*AttributionReport, error) {
 		return nil, err
 	}
 	n := v.NearestValidSize(o.scale(1 << 24))
-	res, err := o.runParallel(c, v, n, o.Seed)
+	res, err := o.runParallel(c, o.extsortConfig(v), n, o.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -162,12 +162,11 @@ func (o Options) polyCfg(fs diskio.FS, acct diskio.Accounting) polyphase.Config 
 	}
 }
 
-// runParallel distributes a fresh input and runs Algorithm 1 once,
-// verifying the output, and returns the result.
-func (o Options) runParallel(c *cluster.Cluster, v perf.Vector, n int64, seed int64) (*extsort.Result, error) {
+// runParallel distributes a fresh uniform input and runs Algorithm 1
+// once with cfg, verifying the output, and returns the result.
+func (o Options) runParallel(c *cluster.Cluster, cfg extsort.Config, n int64, seed int64) (*extsort.Result, error) {
 	c.ResetClocks()
-	cfg := o.extsortConfig(v)
-	sum, err := extsort.DistributeInput(c, v, record.Uniform, n, seed, o.BlockKeys, "input")
+	sum, err := extsort.DistributeInput(c, cfg.Perf, record.Uniform, n, seed, o.BlockKeys, "input")
 	if err != nil {
 		return nil, err
 	}
@@ -179,6 +178,25 @@ func (o Options) runParallel(c *cluster.Cluster, v perf.Vector, n int64, seed in
 		return nil, err
 	}
 	return res, nil
+}
+
+// PivotPartitions sorts n uniform keys on a fresh cluster of vector v
+// with the given step-2 pivot strategy (overpartitioning factor 2),
+// verifies the output and returns the final partition sizes: the
+// measurement behind the A1 and A4 pivot ablations.
+func (o Options) PivotPartitions(v perf.Vector, n int64, strat extsort.Strategy) ([]int64, error) {
+	o = o.withDefaults()
+	c, err := cluster.New(cluster.Config{Slowdowns: v.Slowdowns(), BlockKeys: o.BlockKeys})
+	if err != nil {
+		return nil, err
+	}
+	cfg := o.extsortConfig(v)
+	cfg.Strategy, cfg.OverFactor, cfg.Seed = strat, 2, o.Seed
+	res, err := o.runParallel(c, cfg, n, o.Seed)
+	if err != nil {
+		return nil, fmt.Errorf("%v: %w", strat, err)
+	}
+	return res.PartitionSizes, nil
 }
 
 // trialSummary repeats a measured quantity over Options.Trials seeds.

@@ -260,6 +260,22 @@ func TestAblations(t *testing.T) {
 			t.Fatalf("ablation %s missing", id)
 		}
 	}
+	// A1/A4: the pivot orderings EXPERIMENTS.md reports.
+	value := func(id, variant string) float64 {
+		for _, r := range byID[id] {
+			if r.Variant == variant {
+				return r.Value
+			}
+		}
+		t.Fatalf("%s %s missing", id, variant)
+		return 0
+	}
+	if reg, over := value("A1", "regular-sampling"), value("A1", "overpartitioning"); reg >= over {
+		t.Fatalf("A1: regular sampling expansion %v >= overpartitioning %v", reg, over)
+	}
+	if reg, q := value("A4", "regular-sampling"), value("A4", "quantile-sketch"); q >= reg {
+		t.Fatalf("A4: quantile-sketch weighted expansion %v >= regular sampling %v", q, reg)
+	}
 	// A5: virtual time must strictly decrease with more disks.
 	var a5 []float64
 	for _, r := range byID["A5"] {

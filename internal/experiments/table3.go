@@ -78,7 +78,7 @@ func Table3(o Options) ([]Table3Row, error) {
 		var maxPart int64
 		var smax float64
 		sum, err := o.trialSummary(func(seed int64) (float64, error) {
-			res, rerr := o.runParallel(c, s.v, s.size, seed)
+			res, rerr := o.runParallel(c, o.extsortConfig(s.v), s.size, seed)
 			if rerr != nil {
 				return 0, rerr
 			}
@@ -161,7 +161,7 @@ func ComputeSpeedups(o Options) (*Speedups, error) {
 	if err != nil {
 		return nil, err
 	}
-	resH, err := o.runParallel(cH, homog, n, o.Seed)
+	resH, err := o.runParallel(cH, o.extsortConfig(homog), n, o.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -169,7 +169,7 @@ func ComputeSpeedups(o Options) (*Speedups, error) {
 	if err != nil {
 		return nil, err
 	}
-	resX, err := o.runParallel(cX, PaperVector, PaperVector.NearestValidSize(n), o.Seed)
+	resX, err := o.runParallel(cX, o.extsortConfig(PaperVector), PaperVector.NearestValidSize(n), o.Seed)
 	if err != nil {
 		return nil, err
 	}

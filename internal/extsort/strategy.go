@@ -292,7 +292,7 @@ func (w *worker) selectPivotsQuantile(li int64) ([]record.Key, error) {
 		}
 		return w.bcast(tagPivots, pivots)
 	}
-	wk, err := quantile.WeightsToKeys(weights)
+	wk, err := keysFromCounts(weights)
 	if err != nil {
 		return nil, err
 	}
@@ -351,7 +351,7 @@ func (w *worker) quantilePivots(merged *quantile.Summary) []record.Key {
 // fit a Key because they never exceed the (32-bit-keyed) dataset size,
 // but a wider weight is surfaced as an error rather than truncated.
 func encodeSketch(vals []record.Key, weights []int64) ([]record.Key, error) {
-	wk, err := quantile.WeightsToKeys(weights)
+	wk, err := keysFromCounts(weights)
 	if err != nil {
 		return nil, err
 	}
@@ -362,13 +362,15 @@ func encodeSketch(vals []record.Key, weights []int64) ([]record.Key, error) {
 	return out, nil
 }
 
-// keysFromCounts converts sublist-size counters to wire keys for the
-// size agreement, surfacing 32-bit overflow instead of wrapping.
+// keysFromCounts converts counters (sublist sizes, sketch weights) to
+// wire keys for the key-slice collectives, surfacing overflow as an
+// error: a count wider than the 32-bit wire format would otherwise
+// truncate silently and corrupt every rank or size agreed from it.
 func keysFromCounts(counts []int64) ([]record.Key, error) {
 	out := make([]record.Key, len(counts))
 	for i, c := range counts {
 		if c < 0 || c > int64(^record.Key(0)) {
-			return nil, fmt.Errorf("sublist size %d overflows the 32-bit wire format", c)
+			return nil, fmt.Errorf("extsort: count %d overflows the 32-bit wire format", c)
 		}
 		out[i] = record.Key(c)
 	}

@@ -61,21 +61,13 @@ func ParseTopology(s string) (Topology, error) {
 	return TopologyFlat, fmt.Errorf("extsort: unknown topology %q (want flat, tree or grid)", s)
 }
 
-// gridRadix is the block fan-out of the grid topology: ⌈√p⌉.
-func gridRadix(p int) int {
-	g := int(math.Ceil(math.Sqrt(float64(p))))
-	if g < 2 {
-		g = 2
-	}
-	return g
-}
-
-// collectiveRadix is the fan-in of the step-2 reduction tree: the
-// configured radix for trees, ⌈√p⌉ for grids (matching the grid's
-// 2-level block structure).
+// collectiveRadix resolves the radix r of both hierarchical phases:
+// the configured radix for trees, ⌈√p⌉ for grids, and at least 2.  The
+// grid is exactly the tree at r = ⌈√p⌉, which gives it at most two
+// rounds.
 func collectiveRadix(p int, topo Topology, radix int) int {
 	if topo == TopologyGrid {
-		return gridRadix(p)
+		radix = int(math.Ceil(math.Sqrt(float64(p))))
 	}
 	if radix < 2 {
 		return 2
@@ -96,13 +88,7 @@ func topoLevels(p int, topo Topology, radix int) []int {
 	if p <= 1 {
 		return []int{1}
 	}
-	r := radix
-	if topo == TopologyGrid {
-		r = gridRadix(p)
-	}
-	if r < 2 {
-		r = 2
-	}
+	r := collectiveRadix(p, topo, radix)
 	lv := []int{1}
 	for s := r; s < p; s *= r {
 		lv = append(lv, s)

@@ -103,7 +103,7 @@ func TestPeakFanInScaling(t *testing.T) {
 			}
 		}
 		grid := PeakFanIn(p, TopologyGrid, 0)
-		if g := gridRadix(p); grid > 2*g {
+		if g := collectiveRadix(p, TopologyGrid, 0); grid > 2*g {
 			t.Fatalf("p=%d: grid peak fan-in %d exceeds 2⌈√p⌉=%d", p, grid, 2*g)
 		}
 	}

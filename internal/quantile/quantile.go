@@ -213,21 +213,6 @@ func (s *Summary) Export() (values []record.Key, weights []int64) {
 	return values, weights
 }
 
-// WeightsToKeys converts exported weights to wire keys for the
-// key-slice collectives, surfacing overflow as an error: a weight wider
-// than the 32-bit wire format would otherwise truncate silently and
-// corrupt every rank the merged sketch answers.
-func WeightsToKeys(weights []int64) ([]record.Key, error) {
-	out := make([]record.Key, len(weights))
-	for i, w := range weights {
-		if w < 0 || w > int64(^record.Key(0)) {
-			return nil, fmt.Errorf("quantile: weight %d overflows the 32-bit wire format", w)
-		}
-		out[i] = record.Key(w)
-	}
-	return out, nil
-}
-
 // FromExport rebuilds a summary from Export output.
 func FromExport(eps float64, values []record.Key, weights []int64) (*Summary, error) {
 	if len(values) != len(weights) {

@@ -58,21 +58,6 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestWeightsToKeysOverflow(t *testing.T) {
-	ok, err := WeightsToKeys([]int64{0, 1, 1 << 31, 1<<32 - 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ok) != 4 || ok[2] != record.Key(1<<31) || ok[3] != record.Key(1<<32-1) {
-		t.Fatalf("round trip: %v", ok)
-	}
-	for _, w := range []int64{1 << 32, 1 << 33, -1} {
-		if _, err := WeightsToKeys([]int64{1, w}); err == nil {
-			t.Errorf("weight %d silently clamped", w)
-		}
-	}
-}
-
 func TestAccuracyUniform(t *testing.T) {
 	const eps = 0.01
 	s, _ := New(eps)

@@ -1,8 +1,8 @@
 // Package sampling implements the pivot-selection machinery of the
 // paper: regular sampling (PSRS, Shi & Schaeffer) generalized to
 // heterogeneous performance vectors, the Li–Sevcik overpartitioning
-// alternative, partition-boundary computation, and the sublist-expansion
-// load-balance metric reported in Table 3.
+// alternative, and the sublist-expansion load-balance metric reported in
+// Table 3.
 package sampling
 
 import (
@@ -11,7 +11,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 
 	"hetsort/internal/perf"
 	"hetsort/internal/record"
@@ -64,17 +63,6 @@ func HeteroSpacing(node int, li int64, perfI, p int) (spacing int64, count int, 
 		return 0, 0, &SpacingError{Node: node, Portion: li, Perf: perfI, P: p}
 	}
 	return spacing, len(RegularSampleIndices(li, spacing)), nil
-}
-
-// RegularSamples picks the regularly spaced samples out of a sorted
-// in-core slice (the in-core analogue of the fseek loop).
-func RegularSamples(sorted []record.Key, spacing int64) []record.Key {
-	idx := RegularSampleIndices(int64(len(sorted)), spacing)
-	out := make([]record.Key, len(idx))
-	for i, j := range idx {
-		out[i] = sorted[j]
-	}
-	return out
 }
 
 // CombineSorted merges two sorted sample slices into one sorted slice —
@@ -226,32 +214,6 @@ func RandomSampleIndices(n int64, count int, seed int64) []int64 {
 	}
 	slices.Sort(out)
 	return out
-}
-
-// Boundaries returns the p-1 cut points that split the sorted slice by
-// the pivots: cut[j] is the index of the first key greater than
-// pivots[j], so segment j is sorted[cut[j-1]:cut[j]] (with implicit
-// cut[-1]=0 and cut[p-1]=len).  Keys equal to a pivot go to the lower
-// segment, the convention of the PSRS papers.
-func Boundaries(sorted []record.Key, pivots []record.Key) []int {
-	cuts := make([]int, len(pivots))
-	for j, pv := range pivots {
-		cuts[j] = sort.Search(len(sorted), func(i int) bool { return sorted[i] > pv })
-	}
-	return cuts
-}
-
-// SegmentSizes converts cut points over a portion of length n into the
-// p segment lengths.
-func SegmentSizes(cuts []int, n int) []int64 {
-	sizes := make([]int64, len(cuts)+1)
-	prev := 0
-	for j, c := range cuts {
-		sizes[j] = int64(c - prev)
-		prev = c
-	}
-	sizes[len(cuts)] = int64(n - prev)
-	return sizes
 }
 
 // SublistExpansion is the load-balance metric of Blelloch et al. used in

@@ -116,15 +116,6 @@ func TestSpacingErrorStructured(t *testing.T) {
 	}
 }
 
-func TestRegularSamplesValues(t *testing.T) {
-	sorted := []record.Key{0, 10, 20, 30, 40, 50, 60, 70}
-	got := RegularSamples(sorted, 3)
-	// indices 2, 5 -> 20, 50 (8-3-... idx 2 then 5; next would be 8, out)
-	if len(got) != 2 || got[0] != 20 || got[1] != 50 {
-		t.Fatalf("samples=%v", got)
-	}
-}
-
 func TestSelectPivots(t *testing.T) {
 	cands := []record.Key{90, 10, 50, 30, 70, 20, 80, 40, 60, 100, 0, 55}
 	pv, err := SelectPivots(cands, 4)
@@ -208,56 +199,6 @@ func TestRandomSampleIndicesClamp(t *testing.T) {
 	}
 	if RandomSampleIndices(0, 5, 1) != nil || RandomSampleIndices(5, 0, 1) != nil {
 		t.Fatal("degenerate inputs")
-	}
-}
-
-func TestBoundariesAndSegments(t *testing.T) {
-	sorted := []record.Key{1, 2, 2, 3, 5, 5, 5, 9}
-	cuts := Boundaries(sorted, []record.Key{2, 5})
-	// keys <= 2 -> first 3; keys <= 5 -> first 7.
-	if cuts[0] != 3 || cuts[1] != 7 {
-		t.Fatalf("cuts=%v", cuts)
-	}
-	sizes := SegmentSizes(cuts, len(sorted))
-	want := []int64{3, 4, 1}
-	for i := range want {
-		if sizes[i] != want[i] {
-			t.Fatalf("sizes=%v want %v", sizes, want)
-		}
-	}
-}
-
-func TestBoundariesExtremes(t *testing.T) {
-	sorted := []record.Key{5, 6, 7}
-	cuts := Boundaries(sorted, []record.Key{0, 100})
-	if cuts[0] != 0 || cuts[1] != 3 {
-		t.Fatalf("cuts=%v", cuts)
-	}
-	sizes := SegmentSizes(cuts, 3)
-	if sizes[0] != 0 || sizes[1] != 3 || sizes[2] != 0 {
-		t.Fatalf("sizes=%v", sizes)
-	}
-}
-
-func TestSegmentSizesSumProperty(t *testing.T) {
-	f := func(keys []record.Key, pivotsRaw []record.Key) bool {
-		sorted := append([]record.Key(nil), keys...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		pivots := append([]record.Key(nil), pivotsRaw...)
-		sort.Slice(pivots, func(i, j int) bool { return pivots[i] < pivots[j] })
-		cuts := Boundaries(sorted, pivots)
-		sizes := SegmentSizes(cuts, len(sorted))
-		var sum int64
-		for _, s := range sizes {
-			if s < 0 {
-				return false
-			}
-			sum += s
-		}
-		return sum == int64(len(sorted))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
