@@ -345,8 +345,10 @@ func (s *Service) start(j *job) {
 		s.tenants.Add(1)
 		s.execute(j)
 		s.tenants.Add(-1)
-		close(j.done)
+		// Settle the counters before waking Wait, so a caller that
+		// reads /metrics right after Wait sees the job counted.
 		s.finish(j)
+		close(j.done)
 	}()
 }
 
