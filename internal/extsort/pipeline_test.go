@@ -87,7 +87,7 @@ func TestPipelineMatchesBarrierProperty(t *testing.T) {
 					}
 				}
 			}
-			if cfg.pipelineFits(len(v)) {
+			if cfg.fuseFits(len(v), false) {
 				if pipedIO >= barrierIO {
 					t.Errorf("pipelined I/O %d not strictly below barrier %d", pipedIO, barrierIO)
 				}

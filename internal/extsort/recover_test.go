@@ -3,11 +3,13 @@ package extsort
 import (
 	"errors"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
 	"hetsort/internal/cluster"
 	"hetsort/internal/diskio"
+	"hetsort/internal/pdm"
 	"hetsort/internal/perf"
 	"hetsort/internal/record"
 	"hetsort/internal/trace"
@@ -130,56 +132,121 @@ func TestCrashAtEveryPhaseResumesIdentically(t *testing.T) {
 // TestResumeTraceAndResend checks the observability contract: a resumed
 // run traces its recovery decisions, and a node that died during
 // redistribution gets its lost segments re-sent from the peers'
-// retained partition files (visible as "resend" recovery events).
+// retained partition files (visible as "resend" recovery events), on
+// the flat exchange and on a tree alike.
 func TestResumeTraceAndResend(t *testing.T) {
-	v := perf.Vector{1, 1, 4, 4}
-	n := v.NearestValidSize(1 << 14)
-	tl := new(trace.Log)
-	c, err := cluster.New(cluster.Config{Slowdowns: v.Slowdowns(), BlockKeys: 64, Trace: tl})
-	if err != nil {
-		t.Fatal(err)
+	for _, topo := range []Topology{TopologyFlat, TopologyTree} {
+		t.Run(topo.String(), func(t *testing.T) {
+			v := perf.Vector{1, 1, 4, 4}
+			n := v.NearestValidSize(1 << 14)
+			tl := new(trace.Log)
+			c, err := cluster.New(cluster.Config{Slowdowns: v.Slowdowns(), BlockKeys: 64, Trace: tl})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := testConfig(v)
+			cfg.Checkpoint = true
+			cfg.Topology = topo
+			sum, err := DistributeInput(c, v, record.Uniform, n, 7, cfg.BlockKeys, "input")
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.InputSum = sum
+			// Die after receiving but before committing phase 4: the
+			// node's in-flight state is lost while its peers commit and
+			// move on.
+			if err := c.ScheduleCrash(1, -1, StepNames[3]); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Sort(c, cfg, "input", "output"); !cluster.IsCrash(err) {
+				t.Fatalf("want crash, got %v", err)
+			}
+			if _, _, err := Resume(c, cfg, "input", "output"); err != nil {
+				t.Fatal(err)
+			}
+			if err := VerifyOutput(c, "output", cfg.BlockKeys, sum); err != nil {
+				t.Fatal(err)
+			}
+			var commits, recoveries, resends int
+			for _, e := range tl.Events() {
+				switch e.Kind {
+				case trace.Checkpoint:
+					commits++
+				case trace.Recovery:
+					recoveries++
+					if e.Label == "resend" {
+						resends++
+					}
+				}
+			}
+			if commits == 0 {
+				t.Error("no checkpoint commit events traced")
+			}
+			if recoveries == 0 {
+				t.Error("no recovery events traced")
+			}
+			if resends == 0 {
+				t.Error("no resend events: lost redistribution segments were not re-sent")
+			}
+		})
 	}
+}
+
+// TestCrashResumeDeterministic: a crash and its resume repeat exactly.
+// A failing node unblocks only the peers waiting on it, so how far every
+// other node gets before the failure reaches it — and with that the
+// crashed attempt's I/O, the committed manifests and the resume's work —
+// cannot depend on goroutine timing.
+func TestCrashResumeDeterministic(t *testing.T) {
+	v := perf.Homogeneous(16)
+	n := v.NearestValidSize(1 << 15)
 	cfg := testConfig(v)
 	cfg.Checkpoint = true
-	sum, err := DistributeInput(c, v, record.Uniform, n, 7, cfg.BlockKeys, "input")
-	if err != nil {
-		t.Fatal(err)
+	cfg.Topology = TopologyTree
+	cfg.Radix = 2
+	type outcome struct {
+		time            float64
+		nodeIO, crashIO []pdm.IOStats
 	}
-	cfg.InputSum = sum
-	// Die after receiving but before committing phase 4: the node's
-	// in-flight state is lost while its peers commit and move on.
-	if err := c.ScheduleCrash(1, -1, StepNames[3]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Sort(c, cfg, "input", "output"); !cluster.IsCrash(err) {
-		t.Fatalf("want crash, got %v", err)
-	}
-	if _, _, err := Resume(c, cfg, "input", "output"); err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyOutput(c, "output", cfg.BlockKeys, sum); err != nil {
-		t.Fatal(err)
-	}
-	var commits, recoveries, resends int
-	for _, e := range tl.Events() {
-		switch e.Kind {
-		case trace.Checkpoint:
-			commits++
-		case trace.Recovery:
-			recoveries++
-			if e.Label == "resend" {
-				resends++
-			}
+	var first outcome
+	for run := 0; run < 5; run++ {
+		c := newCluster(t, v)
+		sum, err := DistributeInput(c, v, record.Uniform, n, 31, cfg.BlockKeys, "input")
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if commits == 0 {
-		t.Error("no checkpoint commit events traced")
-	}
-	if recoveries == 0 {
-		t.Error("no recovery events traced")
-	}
-	if resends == 0 {
-		t.Error("no resend events: lost redistribution segments were not re-sent")
+		cfg.InputSum = sum
+		if err := c.ScheduleCrash(5, -1, StepNames[3]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Sort(c, cfg, "input", "output"); !cluster.IsCrash(err) {
+			t.Fatalf("want crash, got %v", err)
+		}
+		var got outcome
+		for i := 0; i < c.P(); i++ {
+			got.crashIO = append(got.crashIO, c.Node(i).IOStats())
+		}
+		res, _, err := Resume(c, cfg, "input", "output")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := VerifyOutput(c, "output", cfg.BlockKeys, sum); err != nil {
+			t.Fatal(err)
+		}
+		got.time, got.nodeIO = res.Time, res.NodeIO
+		if run == 0 {
+			first = got
+			continue
+		}
+		if got.time != first.time {
+			t.Errorf("run %d: resumed time %v, run 0 %v", run, got.time, first.time)
+		}
+		if !reflect.DeepEqual(got.crashIO, first.crashIO) {
+			t.Errorf("run %d: crashed-attempt I/O %v, run 0 %v", run, got.crashIO, first.crashIO)
+		}
+		if !reflect.DeepEqual(got.nodeIO, first.nodeIO) {
+			t.Errorf("run %d: resumed NodeIO %v, run 0 %v", run, got.nodeIO, first.nodeIO)
+		}
 	}
 }
 

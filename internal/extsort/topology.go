@@ -125,8 +125,9 @@ func routeStep(id, dest, s, sub, p int) int {
 }
 
 // roundInNeighbors returns, ascending, the block peers whose buckets
-// for q's sub-block route to q in the round refining s into sub.
-func roundInNeighbors(q, s, sub, p int) []int {
+// for q's sub-block route to q in the round refining s into sub; with
+// self, q itself is among them (its own bucket takes the self-link).
+func roundInNeighbors(q, s, sub, p int, self bool) []int {
 	bs := q / s * s
 	hi := bs + s
 	if hi > p {
@@ -135,7 +136,7 @@ func roundInNeighbors(q, s, sub, p int) []int {
 	slo := q / sub * sub
 	var in []int
 	for i := bs; i < hi; i++ {
-		if i != q && routeStep(i, slo, s, sub, p) == q {
+		if (self || i != q) && routeStep(i, slo, s, sub, p) == q {
 			in = append(in, i)
 		}
 	}

@@ -57,7 +57,7 @@ func TestTopoLevelsAndRouting(t *testing.T) {
 							}
 							if rep != h {
 								found := false
-								for _, in := range roundInNeighbors(rep, s, sub, p) {
+								for _, in := range roundInNeighbors(rep, s, sub, p, false) {
 									if in == h {
 										found = true
 									}

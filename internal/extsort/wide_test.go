@@ -72,19 +72,40 @@ func TestNodeClocksNonDecreasingAcrossSteps(t *testing.T) {
 	_ = res
 }
 
+// TestRedistributionIOMatchesFinalPartitions pins step 4's block count
+// on the flat exchange: every node reads each of its p segments once
+// and writes each of its p received files once — its own segment
+// included, which travels over the self-link into recv<id> as in
+// Algorithm 1 — with or without overlapped I/O.
 func TestRedistributionIOMatchesFinalPartitions(t *testing.T) {
-	// Step 4 writes each node's *received* data: its block writes must
-	// be about partitionSize/B.
 	v := perf.Vector{1, 1, 4, 4}
-	c := newCluster(t, v)
-	cfg := testConfig(v)
-	res := runSort(t, c, v, cfg, record.Uniform, v.NearestValidSize(40000), 109)
-	for i := range res.PartitionSizes {
-		wantBlocks := res.PartitionSizes[i] / int64(cfg.BlockKeys)
-		got := res.StepIO[3][i].Writes
-		if got < wantBlocks || got > wantBlocks+int64(c.P())+2 {
-			t.Fatalf("node %d: step-4 writes %d vs expected ~%d", i, got, wantBlocks)
-		}
+	for _, overlap := range []bool{false, true} {
+		t.Run(fmt.Sprintf("overlap=%v", overlap), func(t *testing.T) {
+			c := newCluster(t, v)
+			cfg := testConfig(v)
+			cfg.KeepIntermediates = true
+			cfg.Overlap = overlap
+			res := runSort(t, c, v, cfg, record.Uniform, v.NearestValidSize(40000), 109)
+			blocks := func(fs diskio.FS, name string) int64 {
+				k, err := diskio.CountKeys(fs, name)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				return (k + int64(cfg.BlockKeys) - 1) / int64(cfg.BlockKeys)
+			}
+			for i := 0; i < c.P(); i++ {
+				fs := c.Node(i).FS()
+				var reads, writes int64
+				for j := 0; j < c.P(); j++ {
+					reads += blocks(fs, fmt.Sprintf("hetsort.seg%d", j))
+					writes += blocks(fs, fmt.Sprintf("hetsort.recv%d", j))
+				}
+				got := res.StepIO[3][i]
+				if got.Reads != reads || got.Writes != writes {
+					t.Errorf("node %d: step-4 reads/writes %d/%d, want %d/%d", i, got.Reads, got.Writes, reads, writes)
+				}
+			}
+		})
 	}
 }
 
